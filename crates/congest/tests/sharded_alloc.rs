@@ -16,6 +16,10 @@ use parallel::Parallelism;
 
 struct CountingAllocator;
 
+// Process-wide on purpose: the sharded engine allocates on its shard
+// worker threads, which a per-thread count would not see. That is sound
+// only while this binary holds a single test — a second test running
+// concurrently would add its allocations to the count.
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAllocator {

@@ -102,7 +102,7 @@ pub use distributed::{
     RoundBreakdown, SessionBill,
 };
 pub use parallel::Parallelism;
-pub use session::{PreparedMaxFlow, PreparedParts};
+pub use session::{PreparedMaxFlow, PreparedParts, RefreshStats};
 pub use solver::{
     approx_max_flow, approx_max_flow_with, route_demand, MaxFlowConfig, MaxFlowResult,
     RoutingResult,

@@ -20,7 +20,10 @@ use std::collections::HashMap;
 use capprox::{
     build_tree_ensemble, CapacityChange, CapacityUpdateStats, CongestionApproximator, EnsembleStats,
 };
-use flowgraph::{max_weight_spanning_tree, Demand, Graph, GraphError, NodeId, RootedTree};
+use flowgraph::{
+    max_weight_spanning_tree, update_max_weight_spanning_tree, Demand, Graph, GraphError, NodeId,
+    RootedTree,
+};
 use parallel::Parallelism;
 
 use crate::almost_route::{AlmostRouteScratch, BlockScratch};
@@ -51,6 +54,35 @@ const fn block_lanes(n: usize) -> usize {
     } else {
         BLOCK_LANES
     }
+}
+
+/// Batches of more changed edges than this rebuild the repair tree with
+/// Kruskal instead of exchanging edges one change at a time. A change costs
+/// one tree-path walk or one scan of the smaller side of one tree cut —
+/// microseconds for the typical edge, but up to half the graph for a cut
+/// near the middle of the tree — while a rebuild costs one sort of all
+/// edges whatever the batch, so past a few dozen changes the rebuild is the
+/// safer bound.
+const REPAIR_TREE_REBUILD_BATCH: usize = 64;
+
+/// Work counters from one [`PreparedParts::refresh_after_capacity_update`]:
+/// the approximator's path patching ([`CapacityUpdateStats`]) and the repair
+/// tree's edge exchanges, for asserting that the incremental path actually
+/// ran (and how much it touched) instead of a silent full rebuild.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct RefreshStats {
+    /// Trees in the approximator's ensemble.
+    pub trees_total: usize,
+    /// Ensemble trees where at least one cut capacity changed.
+    pub trees_touched: usize,
+    /// `(tree, node)` cut-capacity entries patched.
+    pub slots_patched: usize,
+    /// Edge exchanges that kept the repair tree the maximum-weight spanning
+    /// tree (0 when no change moved it).
+    pub repair_tree_exchanges: usize,
+    /// The batch was larger than the exchange cutoff, so the repair tree was
+    /// rebuilt with Kruskal instead.
+    pub repair_tree_rebuilt: bool,
 }
 
 /// A prepared max-flow solver session: the congestion approximator, repair
@@ -204,15 +236,30 @@ impl PreparedParts {
         &self.approximator
     }
 
+    /// The maximum-weight spanning tree used for residual repair.
+    pub fn repair_tree(&self) -> &RootedTree {
+        &self.repair_tree
+    }
+
     /// Re-prepares the parts in place after a batch of edge-capacity changes
     /// on the graph, without rebuilding the tree ensemble: the approximator's
     /// cut capacities are patched incrementally along the changed edges' tree
     /// paths ([`CongestionApproximator::update_capacities`] — work
-    /// proportional to the paths, not to the graph), the repair tree is
-    /// re-grown against the new capacities (it is a maximum-*weight*
-    /// spanning tree, so its shape may legitimately change), and
-    /// capacity-dependent caches (warm-start flow, distributed plan) are
-    /// dropped.
+    /// proportional to the paths, not to the graph), the repair tree is kept
+    /// the maximum-weight spanning tree by edge exchanges
+    /// ([`update_max_weight_spanning_tree`]: a changed non-tree edge that
+    /// outranks the worst edge on its tree path replaces it, a changed tree
+    /// edge outranked across its subtree cut is replaced by the best edge
+    /// crossing it), and capacity-dependent caches (warm-start flow,
+    /// distributed plan) are dropped.
+    ///
+    /// The maximum-weight spanning tree is unique (capacity descending, ties
+    /// to the lower edge id), so the repair tree after a refresh equals the
+    /// one [`Self::build`] grows at the new capacities field for field, and
+    /// a change that does not cross the tree's exchange rule leaves it
+    /// untouched. Batches of more than a fixed number of edges rebuild it
+    /// with Kruskal instead ([`RefreshStats::repair_tree_rebuilt`]), with
+    /// the same result.
     ///
     /// `graph` must already hold the new capacities (apply
     /// [`Graph::set_capacity`] first) and be the same graph the parts were
@@ -229,22 +276,40 @@ impl PreparedParts {
     ///
     /// # Errors
     ///
-    /// Propagates [`CongestionApproximator::update_capacities`] errors, after
-    /// which the parts may be partially patched and **must be discarded and
-    /// rebuilt** with [`Self::build`] — the caller's full-rebuild fallback.
+    /// Propagates [`CongestionApproximator::update_capacities`] and
+    /// [`update_max_weight_spanning_tree`] errors, after which the parts may
+    /// be partially patched and **must be discarded and rebuilt** with
+    /// [`Self::build`] — the caller's full-rebuild fallback.
     pub fn refresh_after_capacity_update(
         &mut self,
         graph: &Graph,
         changes: &[CapacityChange],
-    ) -> Result<CapacityUpdateStats, GraphError> {
-        let stats = self.approximator.update_capacities(graph, changes)?;
-        self.repair_tree = max_weight_spanning_tree(graph, NodeId(0))?;
+    ) -> Result<RefreshStats, GraphError> {
+        let CapacityUpdateStats {
+            trees_total,
+            trees_touched,
+            slots_patched,
+        } = self.approximator.update_capacities(graph, changes)?;
+        let repair_tree_rebuilt = changes.len() > REPAIR_TREE_REBUILD_BATCH;
+        let repair_tree_exchanges = if repair_tree_rebuilt {
+            self.repair_tree = max_weight_spanning_tree(graph, NodeId(0))?;
+            0
+        } else {
+            let old: Vec<_> = changes.iter().map(|c| (c.edge, c.old)).collect();
+            update_max_weight_spanning_tree(graph, &mut self.repair_tree, &old)?
+        };
         // Both caches embed flows scaled against the old capacities; a warm
         // start from a stale flow would change answers, and the distributed
         // plan's congestion accounting would be wrong.
         self.warm_cache = None;
         self.plan = None;
-        Ok(stats)
+        Ok(RefreshStats {
+            trees_total,
+            trees_touched,
+            slots_patched,
+            repair_tree_exchanges,
+            repair_tree_rebuilt,
+        })
     }
 }
 
@@ -851,6 +916,54 @@ mod tests {
         assert_eq!(bits(a.flow.values()), bits(b.flow.values()));
         // The bottleneck the update created is certified by the bracket.
         assert!(a.value <= 2.0 + 1e-9 && a.upper_bound >= 2.0 - 1e-9);
+    }
+
+    #[test]
+    fn refresh_exchanges_repair_tree_edges_to_match_a_rebuild() {
+        // Unit grid: every rank is a capacity tie broken by edge id. Raising
+        // a non-tree edge above all others forces it into the repair tree.
+        let mut g = gen::grid(6, 8, 1.0);
+        let mut parts = PreparedParts::build(&g, &config()).unwrap();
+        let e = g
+            .edge_ids()
+            .find(|&e| !parts.repair_tree.graph_edges().contains(&e))
+            .unwrap();
+        g.set_capacity(e, 5.0).unwrap();
+        let stats = parts
+            .refresh_after_capacity_update(
+                &g,
+                &[capprox::CapacityChange {
+                    edge: e,
+                    old: 1.0,
+                    new: 5.0,
+                }],
+            )
+            .unwrap();
+        assert_eq!(stats.repair_tree_exchanges, 1);
+        assert!(!stats.repair_tree_rebuilt);
+        assert_eq!(
+            parts.repair_tree,
+            max_weight_spanning_tree(&g, NodeId(0)).unwrap()
+        );
+        // Past the cutoff the tree is rebuilt, with the same result.
+        let changes: Vec<_> = (0..=REPAIR_TREE_REBUILD_BATCH as u32)
+            .map(|i| {
+                let edge = flowgraph::EdgeId(i);
+                let old = g.capacity(edge);
+                g.set_capacity(edge, old + 0.5).unwrap();
+                capprox::CapacityChange {
+                    edge,
+                    old,
+                    new: old + 0.5,
+                }
+            })
+            .collect();
+        let stats = parts.refresh_after_capacity_update(&g, &changes).unwrap();
+        assert!(stats.repair_tree_rebuilt);
+        assert_eq!(
+            parts.repair_tree,
+            max_weight_spanning_tree(&g, NodeId(0)).unwrap()
+        );
     }
 
     #[test]

@@ -3,12 +3,16 @@
 //! allocation count of an `almost_route_with` call is independent of how many
 //! iterations it runs.
 //!
-//! Measured with a counting global allocator (the only place in the
-//! repository that needs `unsafe`; the library crates all
-//! `forbid(unsafe_code)`).
+//! Measured with a counting global allocator (test binaries are the only
+//! places in the repository that need `unsafe`; the library crates all
+//! `forbid(unsafe_code)`). The count is per thread: the test harness runs
+//! the tests of this binary concurrently, and a process-wide count would
+//! charge each test with the other's allocations. Every measured call runs
+//! on the calling thread (the default sequential `Parallelism`), so nothing
+//! is missed.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use capprox::{CongestionApproximator, RackeConfig};
 use flowgraph::{gen, Demand, NodeId};
@@ -16,11 +20,19 @@ use maxflow::{almost_route_with, AlmostRouteConfig, AlmostRouteScratch, Prepared
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialized and without a destructor, so counting never
+    // allocates and never touches a torn-down slot.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -29,7 +41,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -38,9 +50,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 static GLOBAL: CountingAllocator = CountingAllocator;
 
 fn allocations_during<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.get();
     let out = f();
-    (ALLOCATIONS.load(Ordering::Relaxed) - before, out)
+    (ALLOCATIONS.get() - before, out)
 }
 
 fn descent_config(max_iterations: usize) -> AlmostRouteConfig {

@@ -51,6 +51,7 @@ pub use flow::{excess_block_into, residual_block_into, Demand, FlowVec};
 pub use graph::{Edge, EdgeId, Graph, GraphBuilder, GraphMemory, NodeId};
 pub use spanning::{
     bfs_tree, max_weight_spanning_tree, minimum_spanning_tree, random_spanning_tree,
+    update_max_weight_spanning_tree,
 };
 pub use tree::RootedTree;
 pub use unionfind::UnionFind;

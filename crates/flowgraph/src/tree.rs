@@ -142,6 +142,68 @@ impl RootedTree {
         RootedTree::from_parents(root, parent, parent_edge)
     }
 
+    /// Swaps the parent edge of `cut` for `edge`, which joins `inner` (in the
+    /// subtree of `cut`) to `outer` (outside it): the subtree is re-rooted at
+    /// `inner` and hung below `outer`. Parents along the `inner → cut` path
+    /// are reversed, children stay sorted by node id, and depths are fixed
+    /// inside the moved subtree, so the result is what [`Self::from_parents`]
+    /// builds for the new edge set — except for `order`, which is used as the
+    /// scratch queue here and must be rebuilt with [`Self::rebuild_order`].
+    ///
+    /// Only for spanning subtrees of a graph without virtual capacities.
+    pub(crate) fn exchange_parent_edge(
+        &mut self,
+        cut: NodeId,
+        inner: NodeId,
+        outer: NodeId,
+        edge: EdgeId,
+    ) {
+        let (mut above, mut above_edge, mut cur) = (outer, edge, inner);
+        loop {
+            let (old_parent, old_edge) = (self.parent[cur.index()], self.parent_edge[cur.index()]);
+            if let Some(p) = old_parent {
+                let siblings = &mut self.children[p.index()];
+                if let Ok(at) = siblings.binary_search(&cur) {
+                    siblings.remove(at);
+                }
+            }
+            self.parent[cur.index()] = Some(above);
+            self.parent_edge[cur.index()] = Some(above_edge);
+            let siblings = &mut self.children[above.index()];
+            let at = siblings.binary_search(&cur).unwrap_or_else(|at| at);
+            siblings.insert(at, cur);
+            if cur == cut {
+                break;
+            }
+            above = cur;
+            above_edge = old_edge.expect("nodes below `cut` have a parent edge");
+            cur = old_parent.expect("`inner` lies in the subtree of `cut`");
+        }
+        self.depth[inner.index()] = self.depth[outer.index()] + 1;
+        self.order.clear();
+        self.order.push(inner);
+        let mut head = 0;
+        while let Some(&u) = self.order.get(head) {
+            head += 1;
+            for &c in &self.children[u.index()] {
+                self.depth[c.index()] = self.depth[u.index()] + 1;
+                self.order.push(c);
+            }
+        }
+    }
+
+    /// Rebuilds the top-down `order` in place, by the same breadth-first
+    /// walk over id-sorted children as [`Self::from_parents`].
+    pub(crate) fn rebuild_order(&mut self) {
+        self.order.clear();
+        self.order.push(self.root);
+        let mut head = 0;
+        while let Some(&u) = self.order.get(head) {
+            head += 1;
+            self.order.extend_from_slice(&self.children[u.index()]);
+        }
+    }
+
     /// Number of nodes.
     pub fn num_nodes(&self) -> usize {
         self.parent.len()

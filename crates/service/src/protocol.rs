@@ -1,5 +1,5 @@
 //! Typed requests and responses of the `flowd` wire protocol, and their
-//! mapping to and from [`json::Value`] documents.
+//! mapping to and from [`json::Value`](crate::json::Value) documents.
 //!
 //! Every frame is one JSON object. Requests carry an `"op"` discriminator;
 //! responses carry `"ok": true` plus op-specific fields, or `"ok": false`

@@ -82,6 +82,8 @@ pub struct EntryStats {
     pub incremental_updates: AtomicU64,
     /// Updates that fell back to a full session rebuild.
     pub full_rebuilds: AtomicU64,
+    /// Repair-tree edge exchanges made by incremental updates.
+    pub repair_tree_exchanges: AtomicU64,
     /// Current graph version (number of applied updates).
     pub version: AtomicU64,
 }
@@ -339,6 +341,10 @@ fn stats_response(shared: &Shared) -> Value {
             (
                 "full_rebuilds",
                 Value::index(stats.full_rebuilds.load(Ordering::Relaxed)),
+            ),
+            (
+                "repair_tree_exchanges",
+                Value::index(stats.repair_tree_exchanges.load(Ordering::Relaxed)),
             ),
             (
                 "version",
@@ -688,6 +694,7 @@ fn apply_update(
             ("changes", Value::index(0)),
             ("trees_touched", Value::index(0)),
             ("slots_patched", Value::index(0)),
+            ("repair_tree_exchanges", Value::index(0)),
         ]));
         return;
     }
@@ -712,8 +719,11 @@ fn apply_update(
         *parts_slot = None;
     }
     let incremental = refresh_stats.is_some();
-    if incremental {
+    if let Some(s) = refresh_stats {
         stats.incremental_updates.fetch_add(1, Ordering::Relaxed);
+        stats
+            .repair_tree_exchanges
+            .fetch_add(s.repair_tree_exchanges as u64, Ordering::Relaxed);
     } else {
         match PreparedParts::build(graph, &config) {
             Ok(p) => *parts_slot = Some(p),
@@ -730,9 +740,15 @@ fn apply_update(
     }
     *version += 1;
     stats.version.store(*version, Ordering::Relaxed);
-    let (trees, slots) = refresh_stats
-        .map(|s| (s.trees_touched as u64, s.slots_patched as u64))
-        .unwrap_or((0, 0));
+    let (trees, slots, exchanges) = refresh_stats
+        .map(|s| {
+            (
+                s.trees_touched as u64,
+                s.slots_patched as u64,
+                s.repair_tree_exchanges as u64,
+            )
+        })
+        .unwrap_or((0, 0, 0));
     let _ = reply.send(Value::obj(vec![
         ("ok", Value::Bool(true)),
         ("version", Value::index(*version)),
@@ -740,5 +756,6 @@ fn apply_update(
         ("changes", Value::index(collapsed.len() as u64)),
         ("trees_touched", Value::index(trees)),
         ("slots_patched", Value::index(slots)),
+        ("repair_tree_exchanges", Value::index(exchanges)),
     ]));
 }

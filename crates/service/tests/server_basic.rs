@@ -150,6 +150,13 @@ fn load_query_update_round_trip_with_certified_brackets() {
     assert_eq!(updated.get("version").and_then(Value::as_index), Some(1));
     assert!(f(&updated, "trees_touched") >= 1.0);
     assert!(f(&updated, "slots_patched") >= 1.0);
+    // A path is its own only spanning tree: the repair tree cannot move.
+    assert_eq!(
+        updated
+            .get("repair_tree_exchanges")
+            .and_then(Value::as_index),
+        Some(0)
+    );
 
     // The new bottleneck is 4.0 and answers carry the new version.
     let reply = client.max_flow(&graph, 0, 5).unwrap();
@@ -344,4 +351,51 @@ fn wire_shutdown_op_stops_the_daemon() {
         Err(_) => {}
         Ok(mut c) => assert!(c.ping().is_err(), "server answered after shutdown"),
     }
+}
+
+#[test]
+fn updates_report_repair_tree_exchanges() {
+    let (config_value, _) = fast_config();
+    let mut server = start("127.0.0.1:0", ServerOptions::default()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+
+    // A 4-cycle whose edge 3 (3-0) is the light one, so the repair tree is
+    // the path 0-1-2-3. Raising edge 3 above the rest swaps it in for the
+    // worst-ranked path edge (edge 2: equal capacity, highest id).
+    let edges = [(0, 1, 4.0), (1, 2, 4.0), (2, 3, 4.0), (3, 0, 1.0)];
+    let graph = load(&mut client, 4, &edges, &config_value);
+    let updated = client.update(&graph, &[(3, 8.0)]).unwrap();
+    assert_eq!(
+        updated.get("incremental").and_then(Value::as_bool),
+        Some(true),
+        "{updated:?}"
+    );
+    assert_eq!(
+        updated
+            .get("repair_tree_exchanges")
+            .and_then(Value::as_index),
+        Some(1)
+    );
+    // Lowering a tree edge that stays the best across its cut (edge 3 at
+    // 5.0 against edge 2 at 4.0) moves nothing.
+    let updated = client.update(&graph, &[(3, 5.0)]).unwrap();
+    assert_eq!(
+        updated
+            .get("repair_tree_exchanges")
+            .and_then(Value::as_index),
+        Some(0)
+    );
+    let reply = client.max_flow(&graph, 0, 2).unwrap();
+    assert!(f(&reply, "value") <= 8.0 + 1e-9);
+    assert!(f(&reply, "upper_bound") >= 8.0 - 1e-9);
+
+    let stats = client.stats().unwrap();
+    let entries = stats.get("entries").and_then(Value::as_arr).unwrap();
+    assert_eq!(
+        entries[0]
+            .get("repair_tree_exchanges")
+            .and_then(Value::as_index),
+        Some(1)
+    );
+    server.shutdown();
 }
